@@ -374,7 +374,7 @@ func (s *server) handleGetTensor(w http.ResponseWriter, r *http.Request) {
 
 // contractRequest is the POST /contract body. Algorithm: "sparta"
 // (default), "spa", "coohta", "twophase". Kernel: "flat" (default),
-// "chained".
+// "chained". Threads: <1 or above the server's -threads means -threads.
 type contractRequest struct {
 	X         string `json:"x"`
 	Y         string `json:"y"`
@@ -516,10 +516,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		defer cancel()
 	}
 
-	threads := req.Threads
-	if threads < 1 {
-		threads = s.threads
-	}
+	threads := clampThreads(req.Threads, s.threads)
 	opt := core.Options{
 		Algorithm: alg,
 		Kernel:    kernel,
@@ -555,12 +552,13 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	// full working set does not, the windowed out-of-core driver runs
 	// instead, and only a table that cannot fit at all is refused.
 	spA := rt.StartPhase("admission")
-	release, tier, res, pr, ein, aerr := s.admit(ctx, req, x, y, opt)
+	adm, aerr := s.admit(ctx, req.Spec, x, y, opt)
 	spA.End()
 	if aerr != nil {
 		return aerr
 	}
-	defer release()
+	defer adm.release()
+	tier := adm.tier
 	rt.SetTag("execution_tier", tier.String())
 	s.reg.Counter("sptc_serve_tier_total", "contract requests by execution tier",
 		"tier", tier.String()).Inc()
@@ -577,10 +575,16 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		rep *core.Report
 		err error
 	)
-	if tier == engine.TierStreamed {
-		z, rep, err = s.contractStreamed(ctx, x, pr, ein, res, opt)
-	} else {
-		z, rep, err = s.eng.Einsum(ctx, req.Spec, x, y, opt)
+	switch {
+	case tier == engine.TierStreamed:
+		z, rep, err = s.contractStreamed(ctx, x, adm, opt)
+	case adm.pr != nil:
+		z, rep, err = engine.ContractPrepared(ctx, adm.pr, adm.hit, x, adm.ein.CmodesX, opt)
+	default:
+		z, rep, err = s.eng.Contract(ctx, x, y, adm.ein.CmodesX, adm.ein.CmodesY, opt)
+	}
+	if err == nil {
+		err = adm.ein.Finish(z, opt)
 	}
 	spC.End()
 	switch {
@@ -747,6 +751,7 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 			fail(http.StatusBadRequest, "bad threads value")
 			return
 		}
+		threads = clampThreads(threads, s.threads)
 	}
 	x, err := coo.ReadBin(r.Body)
 	if err != nil {
@@ -765,24 +770,15 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 		// The partition is request-local: let the kernel permute it in place.
 		InPlace: true,
 	}
-	pr, hit, err := s.eng.PrepareCtx(ctx, y, cy, opt)
+	z, rep, err := s.eng.Contract(ctx, x, y, cx, cy, opt)
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		s.countReq(r, "shard", "error")
+		writeJSON(w, http.StatusServiceUnavailable, errorReply{Error: err.Error()})
+		return
+	}
 	if err != nil {
 		fail(http.StatusBadRequest, err.Error())
 		return
-	}
-	z, rep, err := pr.Contract(ctx, x, cx, opt)
-	if err != nil {
-		s.countReq(r, "shard", "error")
-		status := http.StatusInternalServerError
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, errorReply{Error: err.Error()})
-		return
-	}
-	if hit {
-		rep.HtYReused = true
-		rep.HtYBuild = 0
 	}
 	rt.SetTag("nnz_z", strconv.Itoa(z.NNZ()))
 	s.countReq(r, "shard", "ok")
@@ -801,90 +797,89 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 // spec that permutes the output must re-sort Z afterwards, which
 // materializes heap copies of every column anyway, so Z spilling is only
 // honored for identity-output specs.
-func (s *server) contractStreamed(ctx context.Context, x *coo.Tensor, pr *core.PreparedY, ein *einsum.Plan, res hetmem.Residency, opt core.Options) (*coo.Tensor, *core.Report, error) {
-	xs, err := core.NewTensorStream(x, ein.CmodesX, res.WindowNNZ, opt.Threads, false)
+func (s *server) contractStreamed(ctx context.Context, x *coo.Tensor, adm admission, opt core.Options) (*coo.Tensor, *core.Report, error) {
+	xs, err := core.NewTensorStream(x, adm.ein.CmodesX, adm.res.WindowNNZ, opt.Threads, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	z, rep, err := core.ContractStream(ctx, xs, pr, core.StreamOptions{
+	return core.ContractStream(ctx, xs, adm.pr, core.StreamOptions{
 		Options: opt,
-		SpillZ:  res.SpillZ && ein.IdentityOut,
+		SpillZ:  adm.res.SpillZ && adm.ein.IdentityOut,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !ein.IdentityOut {
-		if err := z.Permute(ein.OutPerm); err != nil {
-			return nil, nil, err
-		}
-		z.Sort(opt.Threads)
-	}
-	return z, rep, nil
 }
 
-// admit runs the DRAM admission gate and assigns the execution tier. It
-// returns a release func (always non-nil) plus, on the prepared path, the
-// residency plan, the cached prepared Y, and the parsed spec the streamed
-// tier needs. Requests outside the prepared path, or with admission
-// disabled, get TierDRAM with a no-op release.
-func (s *server) admit(ctx context.Context, req contractRequest, x, y *coo.Tensor, opt core.Options) (release func(), tier engine.Tier, res hetmem.Residency, pr *core.PreparedY, ein *einsum.Plan, err error) {
-	release = func() {}
-	tier = engine.TierDRAM
-	if s.adm.DRAMBudget == 0 || opt.Algorithm != core.AlgSparta {
-		return release, tier, res, nil, nil, nil
+// admission is the gate's decision for one request: the execution tier and
+// its residency plan, the parsed spec, and — on the prepared (AlgSparta)
+// path — the plan-cache lookup's prepared Y and hit flag, which the
+// contraction uses as is so Y is looked up once per request. release
+// returns the admitted footprint and is always non-nil.
+type admission struct {
+	tier    engine.Tier
+	res     hetmem.Residency
+	ein     *einsum.Plan
+	pr      *core.PreparedY
+	hit     bool
+	release func()
+}
+
+// admit parses the spec, prepares Y through the plan cache for AlgSparta,
+// and runs the DRAM admission gate. Requests outside the prepared path, or
+// with admission disabled, get TierDRAM with a no-op release.
+func (s *server) admit(ctx context.Context, spec string, x, y *coo.Tensor, opt core.Options) (adm admission, err error) {
+	adm.release = func() {}
+	adm.tier = engine.TierDRAM
+	if adm.ein, err = einsum.Parse(spec); err != nil {
+		return adm, err
+	}
+	if err := adm.ein.CheckRanks(spec, x.Order(), y.Order()); err != nil {
+		return adm, err
+	}
+	if opt.Algorithm != core.AlgSparta {
+		return adm, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return release, tier, res, nil, nil, err
+		return adm, err
 	}
-	// Resolve the contract modes so the Y side can be prepared (cached
-	// across requests) and its exact resident size used in the estimate.
-	pr, ein, err = s.prepareFor(ctx, req.Spec, x, y, opt)
-	if err != nil {
-		return release, tier, res, nil, nil, err
+	if adm.pr, adm.hit, err = s.eng.PrepareCtx(ctx, y, adm.ein.CmodesY, opt); err != nil {
+		return adm, err
 	}
-	fp := engine.EstimateFootprint(x.NNZ(), pr)
+	if s.adm.DRAMBudget == 0 {
+		return adm, nil
+	}
+	fp := engine.EstimateFootprint(x.NNZ(), adm.pr)
 	s.admMu.Lock()
-	tier, res = s.adm.Plan(fp, opt.Threads, x.NNZ(), s.admitted)
+	adm.tier, adm.res = s.adm.Plan(fp, opt.Threads, x.NNZ(), s.admitted)
 	// A fully contracted X has one sub-tensor spanning everything and cannot
 	// be windowed; it either fits whole or must still be shed.
-	if tier == engine.TierStreamed && len(ein.CmodesX) >= x.Order() {
-		tier = engine.TierShed
+	if adm.tier == engine.TierStreamed && len(adm.ein.CmodesX) >= x.Order() {
+		adm.tier = engine.TierShed
 	}
-	if tier == engine.TierShed {
+	if adm.tier == engine.TierShed {
 		s.admMu.Unlock()
-		return release, tier, res, pr, ein, nil
+		return adm, nil
 	}
 	// Streamed requests account only their windowed resident demand — the
 	// point of the degrade tier is that concurrent work can still fit.
 	total := fp.Total(opt.Threads)
-	if tier == engine.TierStreamed {
-		total = fp.WindowedTotal(opt.Threads, res.WindowNNZ, x.NNZ())
+	if adm.tier == engine.TierStreamed {
+		total = fp.WindowedTotal(opt.Threads, adm.res.WindowNNZ, x.NNZ())
 	}
 	s.admitted += total
 	s.admMu.Unlock()
-	release = func() {
+	adm.release = func() {
 		s.admMu.Lock()
 		s.admitted -= total
 		s.admMu.Unlock()
 	}
-	return release, tier, res, pr, ein, nil
+	return adm, nil
 }
 
-// prepareFor parses the spec far enough to prepare the Y side through the
-// engine's plan cache (the later Einsum call re-resolves the same cached
-// plan — the fingerprint lookup is the cheap part). The parsed plan rides
-// along so the streamed tier can reuse it.
-func (s *server) prepareFor(ctx context.Context, spec string, x, y *coo.Tensor, opt core.Options) (*core.PreparedY, *einsum.Plan, error) {
-	ein, err := einsum.Parse(spec)
-	if err != nil {
-		return nil, nil, err
+// clampThreads resolves a client's requested worker count: <1 means the
+// server's own count, and no request may exceed it — every worker pre-sizes
+// its accumulator, so an unbounded count is an unbounded allocation.
+func clampThreads(requested, limit int) int {
+	if requested < 1 || requested > limit {
+		return limit
 	}
-	if err := ein.CheckRanks(spec, x.Order(), y.Order()); err != nil {
-		return nil, nil, err
-	}
-	pr, _, err := s.eng.PrepareCtx(ctx, y, ein.CmodesY, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pr, ein, nil
+	return requested
 }

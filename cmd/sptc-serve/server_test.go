@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -131,6 +132,44 @@ func TestShedTinyBudget(t *testing.T) {
 	}
 	if n := s.reg.Counter("sptc_serve_requests_total", "", "route", "contract", "outcome", "shed_memory").Value(); n == 0 {
 		t.Error("shed_memory counter not incremented")
+	}
+}
+
+// TestAdmissionHtYReused: with admission on, the gate's plan-cache lookup
+// is the request's only one, so the cold request reports the HtY build and
+// the warm one the reuse.
+func TestAdmissionHtYReused(t *testing.T) {
+	_, ts := testServer(t, serverConfig{DRAMBudget: 1 << 30})
+	req := contractRequest{X: "demoA", Y: "demoB", Spec: "abc,cde->abde"}
+	for i, want := range []bool{false, true} {
+		resp, rep, bad := postContract(t, ts.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d (%s)", i, resp.StatusCode, bad.Error)
+		}
+		if rep.ExecutionTier != "dram" {
+			t.Errorf("request %d: execution_tier = %q, want dram", i, rep.ExecutionTier)
+		}
+		if rep.HtYReused != want {
+			t.Errorf("request %d: hty_reused = %v, want %v", i, rep.HtYReused, want)
+		}
+	}
+}
+
+// TestClientThreadsClamped: a client's thread count cannot exceed the
+// server's own. Each worker pre-sizes its accumulator, so an unclamped
+// threads=4096 on a tiny contraction allocated about 220 MB.
+func TestClientThreadsClamped(t *testing.T) {
+	_, ts := testServer(t, serverConfig{Threads: 2})
+	req := contractRequest{X: "demoA", Y: "demoB", Spec: "abc,cde->abde", Threads: 4096}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, _, bad := postContract(t, ts.URL, req)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s)", resp.StatusCode, bad.Error)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<20 {
+		t.Errorf("threads=4096 request allocated %d MB, want under 64 MB", d>>20)
 	}
 }
 

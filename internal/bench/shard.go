@@ -17,8 +17,9 @@ import (
 )
 
 // This file is the -exp shard duel (BENCH_6.json): the sharded
-// scatter/gather path (partition X by hashed free-mode tuples → contract
-// each shard against the replicated prepared Y → merge the sorted runs)
+// scatter/gather path (cut X into nnz-balanced ranges of its leading free
+// mode → contract each shard against the replicated prepared Y →
+// concatenate the sorted runs)
 // against the one-shot contraction on the same inputs. Every row asserts the
 // merged output is bitwise identical (Equal + checksum), so the duel doubles
 // as the macro-scale proof behind the internal/dist oracle suite.
@@ -41,7 +42,7 @@ type shardDuelRow struct {
 	NNZY   int    `json:"nnzy"`
 	NNZZ   int    `json:"nnzz"`
 	// ShardBalance is max shard nnzx over the perfect nnzx/S split (1.0 =
-	// perfectly balanced hash partition).
+	// perfectly balanced range partition).
 	ShardBalance float64 `json:"shard_balance"`
 	PartitionNS  int64   `json:"partition_ns"`
 	MaxShardNS   int64   `json:"max_shard_ns"`

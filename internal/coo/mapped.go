@@ -140,7 +140,7 @@ func newMappedView(data []byte, path string) (*Mapped, error) {
 	t.Vals = f64View(data[off:], h.nnz)
 	// Deliberately no full index validation here: that would touch every
 	// page of a file that may be 10x RAM at open time. Structural header
-	// checks ran above; the streaming driver validates each window as it
+	// checks ran above; the window stream validates each window as it
 	// faults it in, and Validate() runs the full check on demand.
 	mp := &Mapped{t: t, path: path, sorted: h.flags&binFlagSorted != 0}
 	if mp.sorted {
@@ -220,7 +220,7 @@ func (m *Mapped) Bytes() uint64 {
 
 // Validate runs the full structural check (every index in range) — a
 // sequential pass over the whole mapping, so callers on the out-of-core
-// path prefer the driver's incremental per-window validation.
+// path prefer Stream's incremental per-window validation.
 func (m *Mapped) Validate() error { return m.t.Validate() }
 
 // Close releases the mapping. The tensor view and every window derived from
@@ -241,12 +241,14 @@ func (m *Mapped) Close() error {
 // at windowNNZ non-zeros (file chunks are merged up to the cap; a single
 // stored chunk larger than the cap stays whole — sub-tensor boundaries
 // cannot be split). windowNNZ <= 0 streams the whole tensor as one window.
-// The file must be sorted.
+// The file must be sorted. Open skipped index validation, so every window
+// the stream yields is bounds-checked against the mode sizes as its pages
+// fault in: a corrupt file errors instead of producing garbage output.
 func (m *Mapped) Stream(windowNNZ int) (*WindowStream, error) {
 	if !m.sorted {
 		return nil, fmt.Errorf("coo: %s: cannot stream an unsorted tensor file", m.path)
 	}
-	return &WindowStream{t: m.t, bounds: groupCapped(m.chunks, windowNNZ)}, nil
+	return &WindowStream{t: m.t, bounds: groupCapped(m.chunks, windowNNZ), validate: true}, nil
 }
 
 // WindowStream iterates sorted, sub-tensor-aligned windows of a tensor.
@@ -257,12 +259,20 @@ type WindowStream struct {
 	t      *Tensor
 	bounds []int
 	next   int
+	// validate bounds-checks each window's indices in Next: the slice of
+	// the full-tensor validation that mapping defers. Resident tensors
+	// were validated when they were built and skip the pass.
+	validate bool
 }
 
 // StreamSorted builds a WindowStream over an in-memory sorted tensor with
 // windows capped at windowNNZ non-zeros, cut only at mode-0 index changes.
+// windowNNZ <= 0 yields the whole tensor as one window without scanning it.
 // The caller guarantees t is sorted (it typically just sorted it).
 func StreamSorted(t *Tensor, windowNNZ int) *WindowStream {
+	if windowNNZ <= 0 {
+		return &WindowStream{t: t, bounds: []int{0, t.NNZ()}}
+	}
 	return &WindowStream{t: t, bounds: groupCapped(t.ChunkBoundaries(1), windowNNZ)}
 }
 
@@ -312,7 +322,26 @@ func (s *WindowStream) Next() (*Tensor, error) {
 	for m := range s.t.Inds {
 		w.Inds[m] = s.t.Inds[m][lo:hi]
 	}
+	if s.validate {
+		if err := checkWindow(w); err != nil {
+			return nil, err
+		}
+	}
 	return w, nil
+}
+
+// checkWindow bounds-checks one window's indices against the mode sizes.
+func checkWindow(w *Tensor) error {
+	for m, col := range w.Inds {
+		d := w.Dims[m]
+		for _, v := range col {
+			if uint64(v) >= d {
+				return &FormatError{Section: fmt.Sprintf("mode %d indices", m),
+					Msg: fmt.Sprintf("streamed window holds index %d, out of range for size %d", v, d)}
+			}
+		}
+	}
+	return nil
 }
 
 // Reset rewinds the stream to the first window.

@@ -397,23 +397,28 @@ func TestMergeRunsConcat(t *testing.T) {
 	}
 }
 
-func TestMergeRunsOverlapping(t *testing.T) {
+// TestMergeRunsRejectsDisorder: runs that share a coordinate or arrive out
+// of order are an error, not a silent summing merge — every producer emits
+// disjoint ascending runs, so anything else is a producer bug.
+func TestMergeRunsRejectsDisorder(t *testing.T) {
 	dims := []uint64{4, 4}
-	mk := func(coords [][2]uint32, vals []float64) *Tensor {
-		r := MustNew(dims, len(vals))
-		for i, c := range coords {
-			r.Append([]uint32{c[0], c[1]}, vals[i])
+	mk := func(coords ...[2]uint32) *Tensor {
+		r := MustNew(dims, len(coords))
+		for _, c := range coords {
+			r.Append([]uint32{c[0], c[1]}, 1)
 		}
 		return r
 	}
-	a := mk([][2]uint32{{0, 0}, {1, 0}, {3, 3}}, []float64{1, 2, 5})
-	b := mk([][2]uint32{{0, 0}, {2, 1}}, []float64{3, 4})
-	z, err := MergeRuns(dims, []*Tensor{a, b})
-	if err != nil {
-		t.Fatal(err)
+	a := mk([2]uint32{0, 0}, [2]uint32{1, 0})
+	cases := map[string][]*Tensor{
+		"overlapping":  {a, mk([2]uint32{0, 3}, [2]uint32{2, 1})},
+		"shared tuple": {a, mk([2]uint32{1, 0}, [2]uint32{2, 1})},
+		"descending":   {mk([2]uint32{3, 3}), a},
+		"third run":    {a, mk([2]uint32{2, 0}), mk([2]uint32{1, 2})},
 	}
-	want := mk([][2]uint32{{0, 0}, {1, 0}, {2, 1}, {3, 3}}, []float64{4, 2, 4, 5})
-	if !z.Equal(want) {
-		t.Fatalf("overlapping merge = %v, want %v", z, want)
+	for name, runs := range cases {
+		if _, err := MergeRuns(dims, runs); err == nil {
+			t.Errorf("%s runs accepted", name)
+		}
 	}
 }

@@ -2,13 +2,15 @@ package coo
 
 import "fmt"
 
-// MergeRuns merges sorted runs into one sorted tensor. The streamed
-// contraction's runs are disjoint and ascending (windows never split a
-// free-prefix sub-tensor), so the merge degenerates to a concatenation —
-// O(total) copies, no comparisons beyond the boundary check, and the
-// paper's stage ⑤ stays dead. Overlapping runs (anything a future producer
-// might emit) fall back to a k-way loser-select merge that sums values of
-// equal coordinates.
+// MergeRuns concatenates sorted, pairwise-disjoint runs into one sorted
+// tensor. Every producer in the tree emits such runs: the windowed driver's
+// windows never split a free-prefix sub-tensor, and the sharded coordinator's
+// range partition gives shard s only leading-mode indices below shard s+1's.
+// The merge is therefore O(total) copies with one boundary compare per run,
+// and the paper's stage ⑤ stays dead. A single live run is adopted without
+// copying. Runs that overlap or arrive out of order are rejected, as
+// RunSpool.Append rejects them: summing across runs would change the
+// floating-point addition order of the one-shot contraction.
 func MergeRuns(dims []uint64, runs []*Tensor) (*Tensor, error) {
 	total := 0
 	live := runs[:0:0]
@@ -35,27 +37,28 @@ func MergeRuns(dims []uint64, runs []*Tensor) (*Tensor, error) {
 		z.Vals = live[0].Vals
 		return z, nil
 	}
-	if disjointAscending(live) {
-		for m := range z.Inds {
-			col := make([]uint32, 0, total)
-			for _, r := range live {
-				col = append(col, r.Inds[m]...)
-			}
-			z.Inds[m] = col
-		}
-		vals := make([]float64, 0, total)
-		for _, r := range live {
-			vals = append(vals, r.Vals...)
-		}
-		z.Vals = vals
-		return z, nil
+	if i := firstDisorder(live); i > 0 {
+		return nil, fmt.Errorf("coo: MergeRuns: run %d does not start after run %d ends (runs must be disjoint and ascending)", i, i-1)
 	}
-	return kwayMerge(z, live, total), nil
+	for m := range z.Inds {
+		col := make([]uint32, 0, total)
+		for _, r := range live {
+			col = append(col, r.Inds[m]...)
+		}
+		z.Inds[m] = col
+	}
+	vals := make([]float64, 0, total)
+	for _, r := range live {
+		vals = append(vals, r.Vals...)
+	}
+	z.Vals = vals
+	return z, nil
 }
 
-// disjointAscending reports whether each run's last coordinate precedes the
-// next run's first — the concatenation fast path's precondition.
-func disjointAscending(runs []*Tensor) bool {
+// firstDisorder returns the index of the first run whose first coordinate
+// does not follow the previous run's last one, or 0 when the runs are
+// disjoint and ascending.
+func firstDisorder(runs []*Tensor) int {
 	order := runs[0].Order()
 	a := make([]uint32, order)
 	b := make([]uint32, order)
@@ -63,147 +66,8 @@ func disjointAscending(runs []*Tensor) bool {
 		runs[i-1].Index(runs[i-1].NNZ()-1, a)
 		runs[i].Index(0, b)
 		if !tupleLess(a, b) {
-			return false
+			return i
 		}
 	}
-	return true
-}
-
-// kwayMerge is the general path for overlapping or interleaved runs: a
-// loser-select over the run cursors that advances the winning run in blocks.
-// The winner can emit every element strictly below the runner-up's head in
-// one bulk copy (binary search for the span end), so k pairwise-disjoint but
-// interleaved runs — the sharded coordinator's per-shard outputs — merge in
-// O(total + spans·(k + log n)) instead of O(total·k·order) tuple compares.
-// Equal heads (cross-run duplicate coordinates) fall back to one-element
-// steps that sum into the tail, preserving the summing semantics of the
-// original element-wise merge.
-func kwayMerge(z *Tensor, runs []*Tensor, total int) *Tensor {
-	for m := range z.Inds {
-		z.Inds[m] = make([]uint32, 0, total)
-	}
-	z.Vals = make([]float64, 0, total)
-	cur := make([]int, len(runs))
-	tup := make([]uint32, z.Order())
-	for {
-		// best = run with the smallest head, second = runner-up head.
-		best, second := -1, -1
-		for r, c := range cur {
-			if c >= runs[r].NNZ() {
-				continue
-			}
-			switch {
-			case best < 0 || runLess(runs[r], c, runs[best], cur[best]):
-				second = best
-				best = r
-			case second < 0 || runLess(runs[r], c, runs[second], cur[second]):
-				second = r
-			}
-		}
-		if best < 0 {
-			return z
-		}
-		end := runs[best].NNZ()
-		if second >= 0 {
-			end = searchBelow(runs[best], cur[best], end, runs[second], cur[second])
-		}
-		if end == cur[best] {
-			// best's head equals second's head: one-element step with
-			// duplicate summing.
-			emitOne(z, runs[best], cur[best], tup)
-			cur[best]++
-			continue
-		}
-		appendSpan(z, runs[best], cur[best], end, tup)
-		cur[best] = end
-	}
-}
-
-// searchBelow returns the first index in r's [lo,hi) whose tuple is not less
-// than element j of run b — the end of the span r may bulk-emit while every
-// other live head is >= b's head.
-func searchBelow(r *Tensor, lo, hi int, b *Tensor, j int) int {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if runLess(r, mid, b, j) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// emitOne appends element i of run r to z, summing into the tail when the
-// coordinate repeats.
-func emitOne(z *Tensor, r *Tensor, i int, tup []uint32) {
-	r.Index(i, tup)
-	v := r.Vals[i]
-	if n := z.NNZ(); n > 0 && sameTuple(z, n-1, tup) {
-		z.Vals[n-1] += v
-		return
-	}
-	for m := range z.Inds {
-		z.Inds[m] = append(z.Inds[m], tup[m])
-	}
-	z.Vals = append(z.Vals, v)
-}
-
-// appendSpan bulk-copies r's [lo,hi) onto z. The span is strictly below every
-// other run's head, but it may still duplicate z's tail (a coordinate already
-// emitted via the equal-heads path) or repeat coordinates internally (a
-// producer that emitted duplicates within one run); either case falls back to
-// element-wise emission so values keep summing exactly as before.
-func appendSpan(z *Tensor, r *Tensor, lo, hi int, tup []uint32) {
-	clean := true
-	if n := z.NNZ(); n > 0 {
-		r.Index(lo, tup)
-		clean = !sameTuple(z, n-1, tup)
-	}
-	for i := lo + 1; clean && i < hi; i++ {
-		if runSame(r, i-1, i) {
-			clean = false
-		}
-	}
-	if !clean {
-		for i := lo; i < hi; i++ {
-			emitOne(z, r, i, tup)
-		}
-		return
-	}
-	for m := range z.Inds {
-		z.Inds[m] = append(z.Inds[m], r.Inds[m][lo:hi]...)
-	}
-	z.Vals = append(z.Vals, r.Vals[lo:hi]...)
-}
-
-// runSame reports whether elements i and j of run r share a coordinate.
-func runSame(r *Tensor, i, j int) bool {
-	for m := range r.Inds {
-		if r.Inds[m][i] != r.Inds[m][j] {
-			return false
-		}
-	}
-	return true
-}
-
-// runLess compares element i of run a with element j of run b.
-func runLess(a *Tensor, i int, b *Tensor, j int) bool {
-	for m := range a.Inds {
-		x, y := a.Inds[m][i], b.Inds[m][j]
-		if x != y {
-			return x < y
-		}
-	}
-	return false
-}
-
-// sameTuple reports whether z's element i equals the tuple.
-func sameTuple(z *Tensor, i int, tup []uint32) bool {
-	for m := range z.Inds {
-		if z.Inds[m][i] != tup[m] {
-			return false
-		}
-	}
-	return true
+	return 0
 }

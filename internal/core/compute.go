@@ -79,20 +79,20 @@ type worker struct {
 	htyProbe *obs.HistShard
 }
 
+// htaCap is each worker's initial accumulator capacity; the tables grow
+// past it on demand.
+const htaCap = 1024
+
 func makeWorkers(threads int, p *plan, opt Options) []*worker {
 	ws := make([]*worker, threads)
-	hint := opt.HtACapHint
-	if hint <= 0 {
-		hint = 1024
-	}
 	for i := range ws {
 		w := &worker{keyBuf: make([]uint32, p.nfy)}
 		switch opt.Algorithm {
 		case AlgSparta, AlgCOOHtA:
 			if opt.Kernel == KernelChained {
-				w.hta = hashtab.NewHtA(hint)
+				w.hta = hashtab.NewHtA(htaCap)
 			} else {
-				w.htaF = hashtab.NewHtAFlat(hint)
+				w.htaF = hashtab.NewHtAFlat(htaCap)
 			}
 		case AlgSPA:
 			w.spa = spa.New(p.nfy)

@@ -45,8 +45,6 @@ type Options struct {
 	// a power of two; the flat kernel additionally clamps it above nnz_Y
 	// so its open-addressed probes terminate.
 	BucketsHtY int
-	// HtACapHint pre-sizes each thread's accumulator (0 = heuristic).
-	HtACapHint int
 	// TwoPassHtY selects the lock-free two-pass construction of the
 	// *chained* HtY instead of the bucket-locked parallel build
 	// (KernelChained only; the flat kernel is always two-pass and
@@ -148,17 +146,18 @@ func traceTarget(ctx context.Context, opt Options) (tr *obs.Tracer, track int, r
 	return opt.Tracer, 0, false
 }
 
-// contractMain runs stages ①–⑤ for the Zlocal-buffered algorithms. When
-// prep is non-nil the COO→HtY conversion is skipped entirely — the prepared
-// table is probed instead and the report is marked HtYReused (no "hty
-// build" span is opened).
+// contractMain runs stage ① for the Zlocal-buffered algorithms — permute
+// and sort X, then build HtY (or reuse prep's table, or sort COO Y for the
+// baselines) — and hands X to the window driver as one window. When prep is
+// non-nil the COO→HtY conversion is skipped entirely: the prepared table is
+// probed instead and the report is marked HtYReused (no "hty build" span is
+// opened).
 func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, rep *Report) (*coo.Tensor, *Report, error) {
 	threads := rep.Threads
 
-	// ① Input processing -------------------------------------------------
 	// Spans pair with the stage timers; error paths leave a span un-ended,
 	// which the tracer simply never records (End is what appends events).
-	tr, track, reqMode := traceTarget(ctx, opt)
+	tr, track, _ := traceTarget(ctx, opt)
 	spInput := tr.Start("input processing", track)
 	t0 := time.Now()
 	xw := p.x
@@ -171,27 +170,19 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 	spXSort := tr.Start("x sort", track)
 	rep.XSort = xw.SortWith(threads, coo.SortAuto)
 	spXSort.End()
-	ptrFX, err := xw.SubPtr(p.nfx)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.NF = len(ptrFX) - 1
-	rep.MaxSubNNZX = coo.MaxSubNNZ(ptrFX)
 	rep.BytesX = xw.Bytes()
 
-	var hty hashtab.YTable
-	var yw *coo.Tensor
-	var ptrCY []int
-	if prep != nil {
-		hty = prep.hty
-		rep.HtYReused = true
-		prep.fillReport(rep)
-	} else if opt.Algorithm == AlgSparta {
-		if hty, err = buildYTable(ctx, p, opt, threads, rep); err != nil {
+	d := &driver{p: p, pr: prep, opt: opt, rep: rep}
+	switch {
+	case prep != nil:
+		// The driver probes the prepared table.
+	case opt.Algorithm == AlgSparta:
+		var err error
+		if d.hty, err = buildYTable(ctx, p, opt, threads, rep); err != nil {
 			return nil, nil, err
 		}
-	} else {
-		yw = p.y
+	default:
+		yw := p.y
 		if !opt.InPlace {
 			yw = yw.Clone()
 		}
@@ -199,78 +190,155 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 			return nil, nil, err
 		}
 		yw.Sort(threads)
-		if ptrCY, err = yw.SubPtr(p.ncm); err != nil {
+		ptrCY, err := yw.SubPtr(p.ncm)
+		if err != nil {
 			return nil, nil, err
 		}
+		d.yw, d.ptrCY = yw, ptrCY
 		rep.BytesY = yw.Bytes()
 		rep.DistinctKeysY = len(ptrCY) - 1
 		rep.MaxSubNNZY = coo.MaxSubNNZ(ptrCY)
 	}
-	rep.StageWall[StageInput] = time.Since(t0)
-	rep.StageCPU[StageInput] = rep.StageWall[StageInput]
+	addStage(rep, StageInput, time.Since(t0))
 	spInput.End()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
 
-	// ②③④ Computation; chunk < 1 defers the chunk size to ForChunked's
-	// own heuristic (the single source of truth for chunking). -----------
-	ws := makeWorkers(threads, p, opt)
-	nf := rep.NF
-	spCompute := tr.Start("compute", track)
-	cerr := parallel.ForChunkedWorkCtx(ctx, threads, nf, 0, int64(xw.NNZ()), func(tid, lo, hi int) {
-		var sp obs.Span
-		if !reqMode {
-			sp = tr.Start("subtensor chunk", tid+1)
-		}
-		w := ws[tid]
-		for f := lo; f < hi; f++ {
-			switch opt.Algorithm {
-			case AlgSparta:
-				w.subSparta(p, xw, hty, ptrFX, f)
-			case AlgCOOHtA:
-				w.subCOOHtA(p, xw, yw, ptrFX, ptrCY, f)
-			case AlgSPA:
-				w.subSPA(p, xw, yw, ptrFX, ptrCY, f)
-			}
-		}
-		sp.End()
-	})
-	spCompute.End()
-	if cerr != nil {
-		return nil, nil, cerr
-	}
-	mergeWorkerStats(rep, ws)
-
-	// ④ Writeback: gather thread-local Zlocal into Z ---------------------
-	if opt.MaxOutputNNZ > 0 {
-		total := 0
-		for _, w := range ws {
-			total += len(w.z.vals)
-		}
-		if total > opt.MaxOutputNNZ {
-			return nil, nil, fmt.Errorf("core: output has %d non-zeros, exceeding MaxOutputNNZ %d", total, opt.MaxOutputNNZ)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	fused := !opt.UnfusedWriteback
-	spGather := tr.Start("writeback gather", track)
-	t0 = time.Now()
-	var z *coo.Tensor
-	if fused {
-		z, err = gatherFused(p, xw, ptrFX, ws, rep)
-	} else {
-		z, err = gather(p, xw, ptrFX, ws, threads)
-	}
+	z, err := d.run(ctx, coo.StreamSorted(xw, 0), &heapSink{dims: p.zdims})
 	if err != nil {
 		return nil, nil, err
 	}
-	gatherTime := time.Since(t0)
-	spGather.End()
-	rep.StageWall[StageWrite] += gatherTime
-	rep.StageCPU[StageWrite] += gatherTime
+	return z, rep, nil
+}
+
+// driver is the one execution driver behind every Zlocal-buffered run: the
+// one-shot and prepared paths hand it X as a single window, ContractStream
+// as many. Exactly one of pr, hty, yw is the Y side the compute stages
+// probe: a prepared table, a freshly built one, or the baselines' sorted
+// COO Y with its contract-key pointers.
+type driver struct {
+	p     *plan
+	pr    *PreparedY
+	hty   hashtab.YTable
+	yw    *coo.Tensor
+	ptrCY []int
+	opt   Options
+	rep   *Report
+}
+
+// run walks xs window by window. Each window runs stages ②–④ chunked over
+// its sub-tensors, checks MaxOutputNNZ before any of its Z is materialized,
+// and gathers its Zlocal into one run for sink. Windows end only at mode-0
+// index changes, so the fused gather's sorted runs are disjoint and
+// ascending and their concatenation is the sorted Z. The unfused writeback
+// (one-window schedules only) leaves its run in worker order for the
+// stage-⑤ sort.
+func (d *driver) run(ctx context.Context, xs XStream, sink zSink) (*coo.Tensor, error) {
+	p, opt, rep := d.p, d.opt, d.rep
+	threads := rep.Threads
+	hty := d.hty
+	if d.pr != nil {
+		hty = d.pr.hty
+		rep.HtYReused = true
+		d.pr.fillReport(rep)
+	}
+	tr, track, reqMode := traceTarget(ctx, opt)
+	fused := !opt.UnfusedWriteback
+	ws := makeWorkers(threads, p, opt)
+	total := 0
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		t0 := time.Now()
+		win, err := xs.Next()
+		if err != nil {
+			return nil, err
+		}
+		if win == nil {
+			break
+		}
+		if win.NNZ() == 0 {
+			continue
+		}
+		ptrFX, err := win.SubPtr(p.nfx)
+		if err != nil {
+			return nil, err
+		}
+		rep.NF += len(ptrFX) - 1
+		if ms := coo.MaxSubNNZ(ptrFX); ms > rep.MaxSubNNZX {
+			rep.MaxSubNNZX = ms
+		}
+		addStage(rep, StageInput, time.Since(t0))
+
+		// ②③④ Computation; chunk < 1 defers the chunk size to
+		// ForChunked's own heuristic (the single source of truth for
+		// chunking).
+		spCompute := tr.Start("compute", track)
+		cerr := parallel.ForChunkedWorkCtx(ctx, threads, len(ptrFX)-1, 0, int64(win.NNZ()), func(tid, lo, hi int) {
+			var sp obs.Span
+			if !reqMode {
+				sp = tr.Start("subtensor chunk", tid+1)
+			}
+			w := ws[tid]
+			for f := lo; f < hi; f++ {
+				switch opt.Algorithm {
+				case AlgSparta:
+					w.subSparta(p, win, hty, ptrFX, f)
+				case AlgCOOHtA:
+					w.subCOOHtA(p, win, d.yw, ptrFX, d.ptrCY, f)
+				case AlgSPA:
+					w.subSPA(p, win, d.yw, ptrFX, d.ptrCY, f)
+				}
+			}
+			sp.End()
+		})
+		spCompute.End()
+		if cerr != nil {
+			return nil, cerr
+		}
+		for _, w := range ws {
+			total += len(w.z.vals)
+		}
+		if opt.MaxOutputNNZ > 0 && total > opt.MaxOutputNNZ {
+			return nil, errOutputTooLarge{total, opt.MaxOutputNNZ}
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+
+		// ④ Writeback: gather the window's thread-local Zlocal into a run.
+		spGather := tr.Start("writeback gather", track)
+		t0 = time.Now()
+		var zrun *coo.Tensor
+		if fused {
+			zrun, err = gatherFused(p, win, ptrFX, ws, rep)
+		} else {
+			zrun, err = gather(p, win, ptrFX, ws, threads)
+		}
+		for _, w := range ws {
+			w.z.reset()
+		}
+		if err != nil {
+			return nil, err
+		}
+		addStage(rep, StageWrite, time.Since(t0))
+		spGather.End()
+		if err := sink.append(zrun); err != nil {
+			return nil, err
+		}
+		if rep.Streamed {
+			rep.Windows++
+		}
+	}
+	mergeWorkerStats(rep, ws)
+
+	spM := tr.Start("z merge", track)
+	t0 := time.Now()
+	z, err := sink.finish()
+	if err != nil {
+		return nil, err
+	}
+	addStage(rep, StageWrite, time.Since(t0))
+	spM.End()
 	rep.NNZZ = z.NNZ()
 	rep.BytesZ = z.Bytes()
 	if p.nfy > 0 {
@@ -286,12 +354,24 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 		spSort := tr.Start("output sort", track)
 		t0 = time.Now()
 		z.Sort(threads)
-		rep.StageWall[StageSort] = time.Since(t0)
-		rep.StageCPU[StageSort] = rep.StageWall[StageSort]
+		addStage(rep, StageSort, time.Since(t0))
 		spSort.End()
 	}
+	if d.pr != nil && d.pr.uses.Add(1) == 1 {
+		// First use: this run conceptually paid for the build, so report
+		// it the way the one-shot path does.
+		rep.HtYReused = false
+		rep.HtYBuild = d.pr.build
+	}
 	publishMetrics(opt.Metrics, rep, ws, nil)
-	return z, rep, nil
+	return z, nil
+}
+
+// addStage charges a sequential section to one stage: wall and CPU time
+// are the same span.
+func addStage(rep *Report, s Stage, d time.Duration) {
+	rep.StageWall[s] += d
+	rep.StageCPU[s] += d
 }
 
 // errBadAlgorithm keeps the error text alongside the enum.

@@ -117,11 +117,8 @@ func PrepareY(y *coo.Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
 // the same options, because the same table, radices, and stage ②–⑤ code
 // run in both paths.
 func (pr *PreparedY) Contract(ctx context.Context, x *coo.Tensor, cmodesX []int, opt Options) (*coo.Tensor, *Report, error) {
-	if opt.Algorithm != AlgSparta {
-		return nil, nil, fmt.Errorf("core: prepared contraction supports only %v, got %v", AlgSparta, opt.Algorithm)
-	}
-	if opt.Kernel != pr.kernel {
-		return nil, nil, fmt.Errorf("core: prepared with kernel %v, contraction requested %v", pr.kernel, opt.Kernel)
+	if err := pr.accepts(opt); err != nil {
+		return nil, nil, err
 	}
 	p, err := pr.newPlanX(x, cmodesX)
 	if err != nil {
@@ -131,17 +128,19 @@ func (pr *PreparedY) Contract(ctx context.Context, x *coo.Tensor, cmodesX []int,
 	if err != nil {
 		return nil, nil, err
 	}
-	z, rep, err := contractMain(ctx, p, pr, opt, rep)
-	if err != nil {
-		return nil, nil, err
+	return contractMain(ctx, p, pr, opt, rep)
+}
+
+// accepts rejects options the prepared table cannot serve: only AlgSparta
+// probes an HtY, and only one built with the requested kernel.
+func (pr *PreparedY) accepts(opt Options) error {
+	if opt.Algorithm != AlgSparta {
+		return fmt.Errorf("core: prepared Y supports only %v, got %v", AlgSparta, opt.Algorithm)
 	}
-	if pr.uses.Add(1) == 1 {
-		// First use: this call conceptually ran the build, so report it
-		// the way the one-shot path would.
-		rep.HtYReused = false
-		rep.HtYBuild = pr.build
+	if opt.Kernel != pr.kernel {
+		return fmt.Errorf("core: prepared with kernel %v, contraction requested %v", pr.kernel, opt.Kernel)
 	}
-	return z, rep, nil
+	return nil
 }
 
 // newPlanX builds the contraction plan for an X against the prepared Y,

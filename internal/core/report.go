@@ -206,11 +206,11 @@ type Report struct {
 	// ShardRetries counts shard attempts that failed and were re-dispatched
 	// to another executor before the request succeeded.
 	ShardRetries int
-	// PartitionWall is the coordinator's X scatter time (hash free-mode
-	// tuples, count, and stable-scatter into per-shard tensors).
+	// PartitionWall is the coordinator's X scatter time (leading-mode
+	// histogram, range cut, and stable scatter into per-shard tensors).
 	PartitionWall time.Duration
-	// MergeWall is the coordinator's k-way merge of the per-shard sorted Z
-	// runs.
+	// MergeWall is the coordinator's concatenation of the per-shard sorted
+	// Z runs.
 	MergeWall time.Duration
 
 	// PlannedOrder is the contraction-order planner's subtree expression

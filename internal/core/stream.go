@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"sparta/internal/coo"
-	"sparta/internal/hashtab"
 	"sparta/internal/parallel"
 )
 
@@ -21,6 +19,8 @@ type XStream interface {
 	// NNZ returns the total non-zero count across all windows.
 	NNZ() int
 	// Next returns the next sorted window view, or (nil, nil) at the end.
+	// Every index of a returned window must lie inside Dims; sources that
+	// skipped validation at open (mmap'd files) check each window here.
 	Next() (*coo.Tensor, error)
 	// Reset rewinds the stream to the first window.
 	Reset() error
@@ -88,11 +88,11 @@ type StreamOptions struct {
 // heterogeneous-memory placement priority into an actual capability.
 //
 // Output is bitwise identical to PreparedY.Contract with the same options:
-// window boundaries fall only on mode-0 index changes, so no free-prefix
-// sub-tensor is ever split, each sub-tensor runs through the same
-// subSparta/gatherFused code in the same order, and the per-window sorted
-// runs are disjoint and ascending — their concatenation IS the in-memory
-// output, and stage ⑤ stays dead.
+// both run the same window driver (the prepared path hands it X as one
+// window), window boundaries fall only on mode-0 index changes, so no
+// free-prefix sub-tensor is ever split, and the per-window sorted runs are
+// disjoint and ascending — their concatenation IS the in-memory output, and
+// stage ⑤ stays dead.
 //
 // The contraction must keep at least one free X mode; a fully contracted X
 // has a single sub-tensor spanning everything and cannot be windowed.
@@ -103,11 +103,8 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 	if pr == nil {
 		return nil, nil, fmt.Errorf("core: nil prepared Y")
 	}
-	if opt.Algorithm != AlgSparta {
-		return nil, nil, fmt.Errorf("core: streamed contraction supports only %v, got %v", AlgSparta, opt.Algorithm)
-	}
-	if opt.Kernel != pr.kernel {
-		return nil, nil, fmt.Errorf("core: prepared with kernel %v, contraction requested %v", pr.kernel, opt.Kernel)
+	if err := pr.accepts(opt.Options); err != nil {
+		return nil, nil, err
 	}
 	dims := xs.Dims()
 	ncm := len(pr.cdims)
@@ -128,14 +125,9 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 	if err != nil {
 		return nil, nil, err
 	}
-	threads := rep.Threads
 	rep.Streamed = true
-	rep.HtYReused = true
 	rep.BytesX = uint64(xs.NNZ()) * uint64(4*len(dims)+8)
-	pr.fillReport(rep)
 
-	tr, track, _ := traceTarget(ctx, opt.Options)
-	ws := makeWorkers(threads, p, opt.Options)
 	var sink zSink
 	if opt.SpillZ {
 		if sink, err = newSpillSink(opt.SpillDir, p.zdims); err != nil {
@@ -146,120 +138,17 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 	}
 	defer sink.abort()
 
-	total := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		t0 := time.Now()
-		win, err := xs.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if win == nil {
-			break
-		}
-		if win.NNZ() == 0 {
-			continue
-		}
-		// mmap'd files skip full validation at open; check each window's
-		// indices as its pages fault in, so a corrupt file errors instead
-		// of producing garbage output.
-		if err := validateWindow(win, dims); err != nil {
-			return nil, nil, err
-		}
-		ptrFX, err := win.SubPtr(nfx)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.NF += len(ptrFX) - 1
-		if ms := coo.MaxSubNNZ(ptrFX); ms > rep.MaxSubNNZX {
-			rep.MaxSubNNZX = ms
-		}
-		d := time.Since(t0)
-		rep.StageWall[StageInput] += d
-		rep.StageCPU[StageInput] += d
-
-		sp := tr.Start("x window", track)
-		cerr := parallel.ForChunkedWorkCtx(ctx, threads, len(ptrFX)-1, 0, int64(win.NNZ()), func(tid, lo, hi int) {
-			w := ws[tid]
-			for f := lo; f < hi; f++ {
-				w.subSparta(p, win, pr.hty, ptrFX, f)
-			}
-		})
-		if cerr != nil {
-			sp.End()
-			return nil, nil, cerr
-		}
-		if opt.MaxOutputNNZ > 0 {
-			winOut := 0
-			for _, w := range ws {
-				winOut += len(w.z.vals)
-			}
-			if total+winOut > opt.MaxOutputNNZ {
-				sp.End()
-				return nil, nil, fmt.Errorf("core: output exceeds MaxOutputNNZ %d", opt.MaxOutputNNZ)
-			}
-		}
-		t0 = time.Now()
-		run, err := gatherFused(p, win, ptrFX, ws, rep)
-		for _, w := range ws {
-			w.z.reset()
-		}
-		if err != nil {
-			sp.End()
-			return nil, nil, err
-		}
-		d = time.Since(t0)
-		rep.StageWall[StageWrite] += d
-		rep.StageCPU[StageWrite] += d
-		total += run.NNZ()
-		if err := sink.append(run); err != nil {
-			sp.End()
-			return nil, nil, err
-		}
-		rep.Windows++
-		sp.End()
-	}
-	mergeWorkerStats(rep, ws)
-
-	spM := tr.Start("z merge", track)
-	t0 := time.Now()
-	z, err := sink.finish()
-	d := time.Since(t0)
-	spM.End()
+	// Concatenating windows needs sorted runs, so streamed runs always
+	// take the sort-fused writeback.
+	o := opt.Options
+	o.UnfusedWriteback = false
+	d := &driver{p: p, pr: pr, opt: o, rep: rep}
+	z, err := d.run(ctx, xs, sink)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.StageWall[StageWrite] += d
-	rep.StageCPU[StageWrite] += d
-	rep.NNZZ = z.NNZ()
-	rep.BytesZ = z.Bytes()
 	rep.SpilledZ = opt.SpillZ
-	if p.nfy > 0 && rep.MaxSubNNZY > 0 {
-		rep.EstBytesHtAPerTh = hashtab.EstimateHtABytes(
-			hashtab.NextPow2(rep.MaxSubNNZY), rep.MaxSubNNZX, rep.MaxSubNNZY, p.nfy)
-	}
-	if pr.uses.Add(1) == 1 {
-		rep.HtYReused = false
-		rep.HtYBuild = pr.build
-	}
-	publishMetrics(opt.Metrics, rep, ws, nil)
 	return z, rep, nil
-}
-
-// validateWindow bounds-checks one window's indices against the mode sizes;
-// the per-window slice of the full-tensor validation mmap loading defers.
-func validateWindow(win *coo.Tensor, dims []uint64) error {
-	for m, col := range win.Inds {
-		d := dims[m]
-		for _, v := range col {
-			if uint64(v) >= d {
-				return fmt.Errorf("core: streamed X window: index %d out of range for mode %d (size %d)", v, m, d)
-			}
-		}
-	}
-	return nil
 }
 
 // zSink collects the per-window sorted output runs. abort is idempotent and
@@ -270,12 +159,12 @@ type zSink interface {
 	abort()
 }
 
-// heapSink accumulates runs in memory and merges at the end — the tier for
-// outputs that fit the budget even when X does not.
+// heapSink accumulates runs in memory and concatenates them at the end —
+// the in-memory paths (one run, adopted without a copy) and the streamed
+// tier for outputs that fit the budget even when X does not.
 type heapSink struct {
 	dims []uint64
 	runs []*coo.Tensor
-	done bool
 }
 
 func (s *heapSink) append(run *coo.Tensor) error {
@@ -284,7 +173,6 @@ func (s *heapSink) append(run *coo.Tensor) error {
 }
 
 func (s *heapSink) finish() (*coo.Tensor, error) {
-	s.done = true
 	return coo.MergeRuns(s.dims, s.runs)
 }
 

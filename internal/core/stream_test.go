@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -103,6 +106,56 @@ func TestContractStreamMappedFile(t *testing.T) {
 	}
 	if rep.Windows < 2 {
 		t.Fatalf("expected multiple windows, got %d", rep.Windows)
+	}
+}
+
+// TestContractStreamCorruptMappedWindow: mapping a v2 file skips index
+// validation, so an out-of-range index in a later window must surface as an
+// error from the window stream — never a panic or a wrong Z.
+func TestContractStreamCorruptMappedWindow(t *testing.T) {
+	x := randomSparse([]uint64{4096, 6, 5}, 12000, 33)
+	y := randomSparse([]uint64{5, 9}, 70, 34)
+	opt := Options{Algorithm: AlgSparta, Kernel: KernelFlat, Threads: 2}
+	pr, err := PrepareY(y, []int{0}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/x.sptn"
+	if err := x.SaveBinV2(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// v2 layout: 32-byte header (nwin at byte 24), dims, window starts,
+	// then one 8-byte-padded uint32 column per mode. Overwrite the last
+	// non-zero's contract-mode index (mode 2, size 5).
+	order, nnz := uint64(x.Order()), uint64(x.NNZ())
+	nwin := binary.LittleEndian.Uint64(raw[24:32])
+	if nwin < 2 {
+		t.Fatalf("file stores %d window(s); the corruption must sit past the first", nwin)
+	}
+	col := (4*nnz + 7) &^ 7
+	off := 32 + 8*order + 8*nwin + 2*col + 4*(nnz-1)
+	binary.LittleEndian.PutUint32(raw[off:], 1000)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := coo.OpenMapped(path)
+	if err != nil {
+		t.Fatalf("open must not validate every index: %v", err)
+	}
+	defer m.Close()
+	xs, err := m.Stream(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, _, err := ContractStream(context.Background(), xs, pr, StreamOptions{Options: opt})
+	var fe *coo.FormatError
+	if !errors.As(err, &fe) {
+		t.Fatalf("corrupt later window: got z=%v err=%v, want a format error", z != nil, err)
 	}
 }
 

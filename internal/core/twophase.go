@@ -72,8 +72,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 	t0 = time.Now()
 	counts := make([]int, nf)
 	symWorkers := makeWorkers(threads, p, Options{
-		Algorithm: AlgSparta, Kernel: opt.Kernel, HtACapHint: opt.HtACapHint,
-		Metrics: opt.Metrics,
+		Algorithm: AlgSparta, Kernel: opt.Kernel, Metrics: opt.Metrics,
 	})
 	symErr := parallel.ForChunkedWorkCtx(ctx, threads, nf, 0, int64(xw.NNZ()), func(tid, lo, hi int) {
 		var sp obs.Span
@@ -126,8 +125,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 
 	// --- Numeric phase: recompute with values, write straight into Z ----
 	ws := makeWorkers(threads, p, Options{
-		Algorithm: AlgSparta, Kernel: opt.Kernel, HtACapHint: opt.HtACapHint,
-		Metrics: opt.Metrics,
+		Algorithm: AlgSparta, Kernel: opt.Kernel, Metrics: opt.Metrics,
 	})
 	spNum := tr.Start("numeric phase", track)
 	numErr := parallel.ForChunkedWorkCtx(ctx, threads, nf, 0, int64(xw.NNZ()), func(tid, lo, hi int) {

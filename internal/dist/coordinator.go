@@ -17,9 +17,6 @@ import (
 type Config struct {
 	// Executors are the shards, one ring member each. Names must be unique.
 	Executors []Executor
-	// VNodes is the consistent-hash ring's per-shard point count
-	// (0 = DefaultVNodes).
-	VNodes int
 	// ShardTimeout caps each shard attempt (0 = no per-attempt timeout;
 	// the request ctx still applies).
 	ShardTimeout time.Duration
@@ -31,7 +28,7 @@ type Config struct {
 }
 
 // Coordinator is the scatter/gather front: Partition → fan-out to executors
-// (with per-attempt timeout and failover to the next ring shard) → MergeRuns.
+// (with per-attempt timeout and failover to the next shard) → MergeRuns.
 // Safe for concurrent use; it holds no per-request state.
 type Coordinator struct {
 	execs   []Executor
@@ -53,7 +50,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 		names[i] = ex.Name()
 	}
-	ring, err := NewRing(names, cfg.VNodes)
+	ring, err := NewRing(names, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -107,8 +104,9 @@ type shardResult struct {
 }
 
 // Contract computes Z = X ×_{cmodesX}^{cmodesY} Y across the shards:
-// partition X by hashed free-mode tuples, contract every non-empty shard
-// concurrently against the replicated Y, and merge the sorted per-shard runs.
+// cut X into ascending ranges of its leading free mode, contract every
+// non-empty shard concurrently against the replicated Y, and concatenate the
+// sorted per-shard runs.
 // Only AlgSparta is supported (the prepared path is what replication
 // amortizes). The output is bitwise identical to the one-shot contraction —
 // the oracle suite in oracle_test.go holds this across orders, kernels,
@@ -248,19 +246,14 @@ func (c *Coordinator) Einsum(ctx context.Context, spec string, x, y *coo.Tensor,
 	if err != nil {
 		return nil, nil, err
 	}
-	if !ein.IdentityOut {
-		if err := z.Permute(ein.OutPerm); err != nil {
-			return nil, nil, err
-		}
-		if !opt.SkipOutputSort {
-			z.Sort(opt.Threads)
-		}
+	if err := ein.Finish(z, opt); err != nil {
+		return nil, nil, err
 	}
 	return z, rep, nil
 }
 
 // runShard contracts one partition with failover: the primary executor is
-// the partition's ring shard; each later attempt moves to the next executor
+// the partition's own index; each later attempt moves to the next executor
 // index. Attempts stop on parent-context cancellation (retrying a canceled
 // request would mask the cancellation).
 func (c *Coordinator) runShard(ctx context.Context, s int, p, y *coo.Tensor, job Job) shardResult {

@@ -1,20 +1,22 @@
 // Package dist is the scatter/gather execution layer that takes one SpTC
-// past a single process: a Coordinator partitions X into S shards by hashing
-// each non-zero's free-mode index tuple on a consistent-hash ring, contracts
-// every shard against a replicated prepared Y on an Executor (in-process
-// engine or remote sptc-serve worker), and k-way merges the per-shard sorted
-// Z runs with coo.MergeRuns — the sort-fused pipeline's stage ⑤ stays dead
+// past a single process: a Coordinator cuts X into S shards along
+// contiguous, nnz-balanced ranges of its leading free mode, contracts every
+// shard against a replicated prepared Y on an Executor (in-process engine or
+// remote sptc-serve worker), and concatenates the per-shard sorted Z runs
+// with coo.MergeRuns — the sort-fused pipeline's stage ⑤ stays dead
 // end-to-end.
 //
-// Partitioning by the *free*-mode tuple (not the contract key) is what keeps
-// the distributed output bitwise identical to the one-shot contraction: a
+// Cutting along a *free* mode (not the contract key) is what keeps the
+// distributed output bitwise identical to the one-shot contraction: a
 // free-mode prefix names one output sub-tensor, so every non-zero that
 // contributes to a given Z coordinate lands on the same shard, each shard
-// runs the identical per-sub-tensor kernel in the identical order, and the
-// merged runs are pairwise disjoint — no cross-shard floating-point
-// summation ever happens. Hashing the contract key instead would split
-// output coordinates across shards and force a value merge whose addition
-// order differs from the one-shot run. See DESIGN.md §15.
+// runs the identical per-sub-tensor kernel in the identical order, and no
+// cross-shard floating-point summation ever happens. Because the leading
+// free mode of X is also Z's leading mode, shard s's sorted run ends before
+// shard s+1's begins, so the merge is a plain concatenation. Cutting the
+// contract key instead would split output coordinates across shards and
+// force a value merge whose addition order differs from the one-shot run.
+// See DESIGN.md §15.
 package dist
 
 import (
@@ -56,7 +58,7 @@ type Executor interface {
 // named shed reason (shed_shards) so clients and metrics can tell a
 // distributed failure from a local one.
 type ShardError struct {
-	// Shard names the primary executor the partition hashed to.
+	// Shard names the primary executor the partition was cut for.
 	Shard string
 	// Attempts is how many executors were tried before giving up.
 	Attempts int

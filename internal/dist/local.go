@@ -83,15 +83,7 @@ func (l *Local) Contract(ctx context.Context, x, y *coo.Tensor, job Job) (*coo.T
 		// Unstreamable shard (e.g. fully contracted X): in-memory fallback,
 		// bitwise identical by the stream driver's own invariant.
 	}
-	z, rep, err := pr.Contract(ctx, x, job.CmodesX, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if hit {
-		rep.HtYReused = true
-		rep.HtYBuild = 0
-	}
-	return z, rep, nil
+	return engine.ContractPrepared(ctx, pr, hit, x, job.CmodesX, opt)
 }
 
 // Close implements Executor (nothing to release in-process).

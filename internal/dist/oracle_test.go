@@ -249,59 +249,102 @@ func TestShardWarmPlanReuse(t *testing.T) {
 	requireIdentical(t, "warm vs cold", z2, z1)
 }
 
-// TestPartitionProperties checks the scatter pass directly: the partitions
-// tile X (no loss, no duplication), rows keep their relative order within a
-// shard (stable scatter), and every row sharing a free-mode tuple lands on
-// the same shard — the invariant that makes the merged output exact.
+// TestPartitionProperties checks the range partition directly: the
+// partitions tile X (no loss, no duplication), non-empty shards' ranges of
+// the leading free mode ascend in shard order without overlap, every row
+// sharing a free-mode tuple lands on the same shard, rows keep their
+// relative order within a shard (stable scatter), and no shard exceeds
+// nnz/S by more than the largest single leading index's count.
 func TestPartitionProperties(t *testing.T) {
 	x := gen.Random([]uint64{24, 10, 18}, 3000, 21)
 	cx := []int{1}
-	free := []int{0, 2}
-	for _, threads := range []int{1, 4} {
-		ring, err := NewRing(ringNames(4), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts, err := Partition(x, cx, ring, threads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, p := range parts {
-			total += p.NNZ()
-		}
-		if total != x.NNZ() {
-			t.Fatalf("threads=%d: partitions hold %d nnz, input has %d", threads, total, x.NNZ())
-		}
+	const lead = 0 // first mode not in cx
+	perIndex := make(map[uint32]int)
+	for _, v := range x.Inds[lead] {
+		perIndex[v]++
+	}
+	heaviest := 0
+	for _, c := range perIndex {
+		heaviest = max(heaviest, c)
+	}
+	for _, shards := range []int{1, 3, 4} {
+		for _, threads := range []int{1, 4} {
+			ring, err := NewRing(ringNames(shards), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts, err := Partition(x, cx, ring, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(parts) != shards {
+				t.Fatalf("S=%d: got %d partitions", shards, len(parts))
+			}
 
-		// Recompute each row's owner and replay the scatter sequentially; a
-		// stable partition must reproduce each shard's rows in order.
-		cursor := make([]int, len(parts))
-		tupleShard := make(map[[2]uint32]int)
-		for i := 0; i < x.NNZ(); i++ {
-			h := uint64(partitionSeed)
-			for _, m := range free {
-				h = mix64(h ^ uint64(x.Inds[m][i]))
-			}
-			s := ring.Owner(h)
-			key := [2]uint32{x.Inds[0][i], x.Inds[2][i]}
-			if prev, ok := tupleShard[key]; ok && prev != s {
-				t.Fatalf("free tuple %v routed to both shard %d and %d", key, prev, s)
-			}
-			tupleShard[key] = s
-			p, j := parts[s], cursor[s]
-			if j >= p.NNZ() {
-				t.Fatalf("threads=%d: shard %d ran out of rows at input row %d", threads, s, i)
-			}
-			for m := 0; m < x.Order(); m++ {
-				if p.Inds[m][j] != x.Inds[m][i] {
-					t.Fatalf("threads=%d: shard %d row %d is not input row %d (scatter not stable)", threads, s, j, i)
+			// Each non-empty shard owns [lo, hi] of the leading mode; the
+			// ranges must ascend in shard order.
+			type span struct{ lo, hi uint32 }
+			spans := make([]*span, shards)
+			total := 0
+			var prev *span
+			for s, p := range parts {
+				total += p.NNZ()
+				if p.NNZ() > x.NNZ()/shards+heaviest {
+					t.Errorf("S=%d threads=%d: shard %d holds %d of %d nnz", shards, threads, s, p.NNZ(), x.NNZ())
 				}
+				if p.NNZ() == 0 {
+					continue
+				}
+				sp := &span{lo: p.Inds[lead][0], hi: p.Inds[lead][0]}
+				for _, v := range p.Inds[lead] {
+					sp.lo, sp.hi = min(sp.lo, v), max(sp.hi, v)
+				}
+				if prev != nil && sp.lo <= prev.hi {
+					t.Fatalf("S=%d threads=%d: shard %d range [%d,%d] does not follow [%d,%d]",
+						shards, threads, s, sp.lo, sp.hi, prev.lo, prev.hi)
+				}
+				spans[s], prev = sp, sp
 			}
-			if p.Vals[j] != x.Vals[i] {
-				t.Fatalf("threads=%d: shard %d row %d carries the wrong value", threads, s, j)
+			if total != x.NNZ() {
+				t.Fatalf("S=%d threads=%d: partitions hold %d nnz, input has %d", shards, threads, total, x.NNZ())
 			}
-			cursor[s]++
+
+			// Replay the owner from the ranges and the scatter sequentially;
+			// a stable partition must reproduce each shard's rows in order.
+			owner := func(v uint32) int {
+				for s, sp := range spans {
+					if sp != nil && sp.lo <= v && v <= sp.hi {
+						return s
+					}
+				}
+				return -1
+			}
+			cursor := make([]int, shards)
+			tupleShard := make(map[[2]uint32]int)
+			for i := 0; i < x.NNZ(); i++ {
+				s := owner(x.Inds[lead][i])
+				if s < 0 {
+					t.Fatalf("S=%d threads=%d: input row %d is in no shard's range", shards, threads, i)
+				}
+				key := [2]uint32{x.Inds[0][i], x.Inds[2][i]}
+				if prev, ok := tupleShard[key]; ok && prev != s {
+					t.Fatalf("free tuple %v routed to both shard %d and %d", key, prev, s)
+				}
+				tupleShard[key] = s
+				p, j := parts[s], cursor[s]
+				if j >= p.NNZ() {
+					t.Fatalf("S=%d threads=%d: shard %d ran out of rows at input row %d", shards, threads, s, i)
+				}
+				for m := 0; m < x.Order(); m++ {
+					if p.Inds[m][j] != x.Inds[m][i] {
+						t.Fatalf("S=%d threads=%d: shard %d row %d is not input row %d (scatter not stable)", shards, threads, s, j, i)
+					}
+				}
+				if p.Vals[j] != x.Vals[i] {
+					t.Fatalf("S=%d threads=%d: shard %d row %d carries the wrong value", shards, threads, s, j)
+				}
+				cursor[s]++
+			}
 		}
 	}
 }

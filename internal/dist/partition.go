@@ -7,31 +7,30 @@ import (
 	"sparta/internal/parallel"
 )
 
-// partitionSeed domain-separates key hashes from the ring's point hashes.
-const partitionSeed = 0x2545f4914f6cdd1d
+// maxBins caps the leading-mode histogram. Modes up to this size are binned
+// by exact index; longer modes bin index>>shift, so a cut can only fall on a
+// bin edge.
+const maxBins = 1 << 16
 
-// maxShards bounds the fan-out so the per-nonzero shard map fits in a byte.
-const maxShards = 256
-
-// Partition scatters x's non-zeros into one tensor per ring shard, keyed by
-// a mix64 chain over each non-zero's free-mode indices (the modes not in
-// cmodesX, in original mode order). Every non-zero of one free-mode
-// sub-tensor therefore lands on the same shard — the invariant that makes
-// the per-shard sorted Z runs pairwise disjoint and the merged output
-// bitwise identical to the one-shot contraction (see the package comment).
+// Partition cuts x into one tensor per ring shard along contiguous,
+// nnz-balanced ranges of its leading free mode (the first mode not in
+// cmodesX). Shard s holds only leading indices below shard s+1's. That
+// mode leads Z too, so every free-mode sub-tensor lands whole on one shard,
+// the per-shard sorted Z runs are disjoint, and shard s's run precedes
+// shard s+1's: the coordinator's merge is a concatenation, and the output
+// is bitwise identical to the one-shot contraction (see the package
+// comment). A bin goes to the shard its midpoint in the cumulative non-zero
+// count falls in, so no shard exceeds nnz/S by more than its largest bin.
 //
-// The scatter is stable: within each shard, non-zeros keep x's original
-// relative order (two counting passes with per-worker offsets, both split
-// over identical chunks). A fully contracted X has no free modes, hashes to
-// one constant key, and lands whole on a single shard. x itself is never
-// mutated; the returned tensors share no storage with it.
+// One pass builds per-worker histograms of the leading index; a second
+// scatters stably: within each shard, non-zeros keep x's original relative
+// order (both passes split over identical chunks, and per-worker offsets
+// follow chunk order). A fully contracted X has no free modes and lands
+// whole on shard 0. x itself is never mutated; the returned tensors keep
+// x's mode order and share no storage with it.
 func Partition(x *coo.Tensor, cmodesX []int, ring *Ring, threads int) ([]*coo.Tensor, error) {
 	if x == nil {
 		return nil, fmt.Errorf("dist: nil X tensor")
-	}
-	S := ring.Shards()
-	if S > maxShards {
-		return nil, fmt.Errorf("dist: %d shards exceeds the partitioner's cap of %d", S, maxShards)
 	}
 	order := x.Order()
 	inX := make([]bool, order)
@@ -44,13 +43,7 @@ func Partition(x *coo.Tensor, cmodesX []int, ring *Ring, threads int) ([]*coo.Te
 		}
 		inX[m] = true
 	}
-	var free []int
-	for m := 0; m < order; m++ {
-		if !inX[m] {
-			free = append(free, m)
-		}
-	}
-
+	S := ring.Shards()
 	n := x.NNZ()
 	parts := make([]*coo.Tensor, S)
 	for s := range parts {
@@ -64,35 +57,62 @@ func Partition(x *coo.Tensor, cmodesX []int, ring *Ring, threads int) ([]*coo.Te
 		return parts, nil
 	}
 
-	// Pass 1: hash every non-zero's free tuple, record its shard, count per
-	// (worker, shard). Both parallel.For calls use the same (threads, n)
-	// pair, so the static chunk boundaries are identical across passes.
-	threads = parallel.ClampWork(threads, n, int64(n))
-	shard := make([]uint8, n)
-	counts := make([][]int, threads)
-	parallel.For(threads, n, func(tid, lo, hi int) {
-		cnt := make([]int, S)
-		for i := lo; i < hi; i++ {
-			h := uint64(partitionSeed)
-			for _, m := range free {
-				h = mix64(h ^ uint64(x.Inds[m][i]))
-			}
-			s := ring.Owner(h)
-			shard[i] = uint8(s)
-			cnt[s]++
+	// Bin by the leading free index. With no free mode the bins (over mode
+	// 0) still count, but every one of them stays with shard 0.
+	leadMode, free := 0, false
+	for m := 0; m < order; m++ {
+		if !inX[m] {
+			leadMode, free = m, true
+			break
 		}
-		counts[tid] = cnt
+	}
+	lead := x.Inds[leadMode]
+	shift := uint(0)
+	for (x.Dims[leadMode]-1)>>shift >= maxBins {
+		shift++
+	}
+	nbins := int((x.Dims[leadMode]-1)>>shift) + 1
+
+	// Pass 1: per-worker histograms. Both parallel.For calls use the same
+	// (threads, n) pair, so the static chunk boundaries are identical.
+	threads = parallel.ClampWork(threads, n, int64(n))
+	hist := make([][]int, threads)
+	parallel.For(threads, n, func(tid, lo, hi int) {
+		h := make([]int, nbins)
+		for i := lo; i < hi; i++ {
+			h[lead[i]>>shift]++
+		}
+		hist[tid] = h
 	})
+
+	// Cut: bin b goes to the shard holding the midpoint of its slice of the
+	// cumulative count. The midpoints ascend, so the owners do too.
+	owner := make([]int, nbins)
+	cum := 0
+	for b := range owner {
+		c := 0
+		for _, h := range hist {
+			c += h[b]
+		}
+		if free {
+			owner[b] = min(S-1, int(int64(2*cum+c)*int64(S)/int64(2*n)))
+		}
+		cum += c
+	}
 
 	// Per-worker write offsets: worker tid's slice of shard s starts after
 	// every earlier worker's slice — chunk-major order is original order.
 	off := make([][]int, threads)
 	sizes := make([]int, S)
-	for tid := 0; tid < threads; tid++ {
+	for tid, h := range hist {
+		cnt := make([]int, S)
+		for b, c := range h {
+			cnt[owner[b]] += c
+		}
 		off[tid] = make([]int, S)
-		for s := 0; s < S; s++ {
+		for s, c := range cnt {
 			off[tid][s] = sizes[s]
-			sizes[s] += counts[tid][s]
+			sizes[s] += c
 		}
 	}
 	for s, p := range parts {
@@ -104,9 +124,9 @@ func Partition(x *coo.Tensor, cmodesX []int, ring *Ring, threads int) ([]*coo.Te
 
 	// Pass 2: stable scatter into the pre-sized columns.
 	parallel.For(threads, n, func(tid, lo, hi int) {
-		pos := append([]int(nil), off[tid]...)
+		pos := off[tid]
 		for i := lo; i < hi; i++ {
-			s := shard[i]
+			s := owner[lead[i]>>shift]
 			p := parts[s]
 			j := pos[s]
 			pos[s] = j + 1

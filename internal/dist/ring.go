@@ -15,9 +15,10 @@ import (
 //   - Minimal movement: adding a shard moves keys only onto the new shard
 //     (≈1/S of them); removing one moves only the removed shard's keys.
 //
-// The coordinator routes partition keys (hashed free-mode tuples) and plan
-// fingerprints through the same ring, so warm PreparedY plans stick to their
-// shard as the fleet resizes.
+// The coordinator routes plan fingerprints through the ring (OwnerOf), so
+// callers that pin whole requests to the shard holding the warm PreparedY
+// keep that affinity as the fleet resizes. Partitions do not use it: X is
+// cut by leading-mode ranges (Partition).
 type Ring struct {
 	names  []string
 	points []ringPoint
@@ -33,8 +34,8 @@ type ringPoint struct {
 // fleets (TestRingBalance) at 1 KiB of ring per shard.
 const DefaultVNodes = 64
 
-// ringSeed domain-separates the ring's point hashes from the partitioner's
-// key hashes (both use mix64).
+// ringSeed domain-separates the ring's point hashes from the keys they are
+// compared against (both use mix64).
 const ringSeed = 0x9e3779b97f4a7c15
 
 // mix64 is splitmix64's finalizer — the same full-avalanche mixer the

@@ -61,7 +61,7 @@ func TestRingValidation(t *testing.T) {
 }
 
 // TestRingBalance bounds the max/mean key imbalance for random keys — the
-// property that makes hash partitioning a scale-out strategy at all. The
+// property that spreads plan fingerprints evenly over the fleet. The
 // bound is generous (vnode placement is random-ish, not perfect), but a
 // broken point hash (e.g. all points colliding) blows far past it.
 func TestRingBalance(t *testing.T) {

@@ -7,6 +7,9 @@ package einsum
 import (
 	"fmt"
 	"strings"
+
+	"sparta/internal/coo"
+	"sparta/internal/core"
 )
 
 // Plan is the parsed form of an einsum spec.
@@ -134,6 +137,22 @@ func (p *Plan) CheckRanks(spec string, orderX, orderY int) error {
 	}
 	if len(p.Y) != orderY {
 		return fmt.Errorf("einsum: spec %q gives Y %d modes, tensor has %d", spec, len(p.Y), orderY)
+	}
+	return nil
+}
+
+// Finish is the one output epilogue of every einsum entry point: it
+// permutes a naturally ordered Z into the spec's right-hand-side order and
+// re-sorts it unless opt.SkipOutputSort. An identity output is left as is.
+func (p *Plan) Finish(z *coo.Tensor, opt core.Options) error {
+	if p.IdentityOut {
+		return nil
+	}
+	if err := z.Permute(p.OutPerm); err != nil {
+		return err
+	}
+	if !opt.SkipOutputSort {
+		z.Sort(opt.Threads)
 	}
 	return nil
 }

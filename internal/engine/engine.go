@@ -170,6 +170,15 @@ func (e *Engine) Contract(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodes
 	if err != nil {
 		return nil, nil, err
 	}
+	return ContractPrepared(ctx, pr, hit, x, cmodesX, opt)
+}
+
+// ContractPrepared contracts x against a plan PrepareCtx returned, with hit
+// the lookup's outcome. Callers that prepare ahead of the contraction (the
+// serving admission gate sizes the request from the plan) pass the plan
+// and hit flag along instead of looking Y up a second time, which would
+// always hit and misreport a cold request as a reuse.
+func ContractPrepared(ctx context.Context, pr *core.PreparedY, hit bool, x *coo.Tensor, cmodesX []int, opt core.Options) (*coo.Tensor, *core.Report, error) {
 	z, rep, err := pr.Contract(ctx, x, cmodesX, opt)
 	if err != nil {
 		return nil, nil, err
@@ -197,13 +206,8 @@ func (e *Engine) Einsum(ctx context.Context, spec string, x, y *coo.Tensor, opt 
 	if err != nil {
 		return nil, nil, err
 	}
-	if !ein.IdentityOut {
-		if err := z.Permute(ein.OutPerm); err != nil {
-			return nil, nil, err
-		}
-		if !opt.SkipOutputSort {
-			z.Sort(opt.Threads)
-		}
+	if err := ein.Finish(z, opt); err != nil {
+		return nil, nil, err
 	}
 	return z, rep, nil
 }

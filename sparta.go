@@ -93,9 +93,10 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 	return core.ContractStream(ctx, xs, pr, opt)
 }
 
-// MergeRuns merges sorted, pairwise-disjoint output runs into one tensor
-// (concatenation when the runs are already ascending — the streamed-driver
-// case).
+// MergeRuns concatenates sorted output runs that are disjoint and ascending
+// (each run starts after the previous one ends — what the streamed windows
+// and the range-cut shards emit) into one tensor; any other run order is an
+// error.
 func MergeRuns(dims []uint64, runs []*Tensor) (*Tensor, error) { return coo.MergeRuns(dims, runs) }
 
 // Algorithm selects the SpTC variant.
